@@ -66,7 +66,9 @@
 // spans (-warm-jobs workers resuming from layout-independent stride
 // snapshots, captured every -warm-stride instructions via the
 // emulator's copy-on-write memory) with the resulting warm set
-// bit-identical to the sequential pass's, and its output is reusable
+// bit-identical to the sequential pass's. Within one matrix the
+// scheduler builds each distinct warm set once and shares it in memory
+// among the cells that need it; across processes the output is reusable
 // through a content-addressed, LRU-bounded checkpoint cache
 // (run.Request.CheckpointCache, rixsim/rixbench -ckpt-cache,
 // -ckpt-cache-mb, -ckpt-cache-age) that holds both .warmset and

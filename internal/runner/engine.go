@@ -74,9 +74,13 @@ type Engine struct {
 
 	// CheckpointCache, when set, is the content-addressed warm-set cache
 	// directory passed to every sampled cell: repeat runs of the same
-	// (workload, layout, geometry) skip their warm pass entirely. It
-	// also holds the layout-independent stride snapshots (.stride
-	// entries) that let later warm passes shard across WarmJobs workers.
+	// (workload, layout, geometry) in later processes skip their warm
+	// pass entirely. Within one matrix the shared scheduler already
+	// builds each distinct warm set once and shares it in memory, so
+	// the cache serves only across processes (and cells whose set no
+	// running cell still holds). It also holds the layout-independent
+	// stride snapshots (.stride entries) that let later warm passes
+	// shard across WarmJobs workers.
 	CheckpointCache string
 
 	// CacheMaxMB / CacheMaxAgeSec bound CheckpointCache by total size

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -186,5 +187,94 @@ func TestSchedulerPoolResolution(t *testing.T) {
 	defer release()
 	if sched == nil || sched.Size() != 4 || slots != 4 {
 		t.Errorf("WindowJobs=4: got sched=%v (slots=%d), want a 4-slot pool", sched, slots)
+	}
+}
+
+// TestMatrixSharesWarmSets: within one matrix, each distinct warm key
+// is built once. A fig4-shaped sampled matrix (the baseline plus every
+// integration preset under both suppression modes) on four programs has
+// two warm keys per program — the integration policy's Enable bit is
+// the only machine difference the warm pass sees. Against a fresh
+// checkpoint cache the engine must write exactly one .warmset entry per
+// key: a cell that finds the key in the scheduler's table shares that
+// set, and one that arrives after its last holder dropped it reads the
+// entry back from disk. Every cell must equal the sequential engine's.
+func TestMatrixSharesWarmSets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("72 sampled cells over four real workloads")
+	}
+	benches := []string{"gzip", "crafty", "vortex", "mcf"}
+	def := sample.DefaultSampling()
+	layout := &def
+	sp := &Spec{ID: "fig4-shared-warm"}
+	sp.Configs = append(sp.Configs, Config{Label: "base", Opt: sim.Options{Integration: sim.IntNone, Sampling: layout}})
+	for _, p := range sim.IntegrationPresets() {
+		for _, s := range []string{sim.SuppressLISP, sim.SuppressOracle} {
+			o := sim.Options{Integration: p, Suppression: s, Sampling: layout}
+			sp.Configs = append(sp.Configs, Config{Label: o.Label(), Opt: o})
+		}
+	}
+
+	gather := func(e *Engine) map[string]pipeline.Stats {
+		t.Helper()
+		rs, err := e.Gather(bg, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]pipeline.Stats)
+		for _, b := range rs.Benches() {
+			for _, l := range rs.Labels() {
+				out[b+"/"+l] = *rs.Get(b, l)
+			}
+		}
+		return out
+	}
+
+	seqEng, err := NewEngine(benches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqEng.Parallel = 2
+	seqEng.WindowJobs = 1
+	want := gather(seqEng)
+
+	eng, err := NewEngine(benches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Parallel = 2
+	eng.WindowJobs = 2
+	eng.CheckpointCache = t.TempDir()
+	var mu sync.Mutex
+	var written, hits int
+	eng.Observer = run.ObserverFunc(func(e run.Event) {
+		if !strings.HasSuffix(e.Path, ".warmset") {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		switch e.Kind {
+		case run.CacheWritten:
+			written++
+		case run.CacheHit:
+			hits++
+		}
+	})
+	got := gather(eng)
+
+	if keys := 2 * len(benches); written != keys {
+		t.Errorf("%d warm sets written for %d warm keys: each key must be built once", written, keys)
+	}
+	if cells := len(benches) * len(sp.Configs); written+hits >= cells {
+		t.Errorf("all %d cells read or wrote the disk cache (%d written, %d hits): no cell shared a set in memory",
+			cells, written, hits)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d shared-warm cells vs %d sequential", len(got), len(want))
+	}
+	for k, w := range want {
+		if g, ok := got[k]; !ok || g != w {
+			t.Errorf("cell %s: stats with shared warm sets diverge from the sequential engine", k)
+		}
 	}
 }

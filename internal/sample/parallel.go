@@ -3,6 +3,7 @@ package sample
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"rix/internal/core"
 	"rix/internal/emu"
@@ -36,21 +37,24 @@ import (
 // which executor, how many slots, or how many competing cells execute
 // the windows.
 
-// runTwoPhase is Run's two-phase path: warm pass (or cache hit /
-// injected warm set), then the scheduled window phase, then the same
-// deterministic index-ordered aggregation as the sequential engine.
+// runTwoPhase is Run's two-phase path: warm pass (or a set shared by
+// another run on the same Scheduler, a cache hit, or an injected set),
+// then the scheduled window phase, then the same deterministic
+// index-ordered aggregation as the sequential engine.
 func runTwoPhase(ctx context.Context, p *prog.Program, dynLen int, cfg pipeline.Config, sc Config) (*Estimate, error) {
-	set, err := prepareWarm(ctx, p, cfg, sc)
+	set, release, err := acquireWarm(ctx, p, cfg, sc)
 	if err != nil {
 		return nil, err
 	}
 	if set.Total > sc.MaxInstrs {
 		// The sequential fast-forward would have tripped its budget
-		// before the program halted; a cached warm set must not bypass
-		// the bound.
+		// before the program halted; a cached or shared warm set must
+		// not bypass the bound.
+		release()
 		return nil, fmt.Errorf("sample: %s did not halt within %d instructions", p.Name, sc.MaxInstrs)
 	}
 	windows, err := runParallel(ctx, p, cfg, sc, set)
+	release()
 	if err != nil {
 		return nil, err
 	}
@@ -116,13 +120,18 @@ func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 	flights := make([]*inflight, nb)
 	// Cancel whatever is still in flight on every exit path, so an error
 	// (or ctx cancellation) never leaves this run's jobs occupying a
-	// shared executor.
+	// shared executor. Then wait for every dispatch goroutine, the
+	// discarded ones included: a goroutine still on its way to the
+	// executor must not outlive the run, or it could submit to a pool
+	// that the run's owner has already closed.
+	var running sync.WaitGroup
 	defer func() {
 		for _, f := range flights {
 			if f != nil {
 				f.cancel()
 			}
 		}
+		running.Wait()
 	}()
 	var windows []WindowStat
 	// Feedback only chains when the integration policy is on: with it
@@ -146,7 +155,9 @@ func runParallel(ctx context.Context, p *prog.Program, cfg pipeline.Config, sc C
 		jctx, cancel := context.WithCancel(ctx)
 		fl := &inflight{guess: guess, cancel: cancel, out: make(chan outcome, 1)}
 		job := WindowJob{Prog: p, Config: cfg, Sampling: sp, Boundary: *b, Feedback: guess}
+		running.Add(1)
 		go func() {
+			defer running.Done()
 			res, err := exec.Run(jctx, job)
 			fl.out <- outcome{res: res, err: err}
 		}()

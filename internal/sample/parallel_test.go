@@ -2,12 +2,15 @@ package sample_test
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rix/internal/sample"
 	"rix/internal/sim"
@@ -355,5 +358,47 @@ func TestParallelCheckpointParity(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("checkpoint %s differs between sequential and parallel runs", filepath.Base(seqPaths[i]))
 		}
+	}
+}
+
+// lingeringExecutor runs windows locally but holds a cancelled job
+// for a while before returning — longer the later the window — and
+// counts the jobs still inside Run.
+type lingeringExecutor struct {
+	width  int
+	active atomic.Int32
+}
+
+func (x *lingeringExecutor) Width() int { return x.width }
+
+func (x *lingeringExecutor) Run(ctx context.Context, job sample.WindowJob) (sample.WindowResult, error) {
+	x.active.Add(1)
+	defer x.active.Add(-1)
+	res, err := sample.ExecuteWindow(ctx, job)
+	if ctx.Err() != nil {
+		time.Sleep(time.Duration(5*job.Boundary.Index) * time.Millisecond)
+	}
+	return res, err
+}
+
+// TestCancelledRunWaitsForWindowJobs: a two-phase run that ends early
+// must not return while any of its window jobs is still on its way to
+// or inside the executor. A job that outlives its run can reach the
+// pool after the run's owner has closed it.
+func TestCancelledRunWaitsForWindowJobs(t *testing.T) {
+	bw := buildBench(t, "gzip")
+	cfg, err := (sim.Options{Integration: sim.IntReverse}).Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	x := &lingeringExecutor{width: 4}
+	sc := sample.Config{Executor: x, Hooks: sample.Hooks{WindowDone: func(sample.WindowStat) { cancel() }}}
+	if _, err := sample.Run(ctx, bw.Prog, bw.DynLen, cfg, sc); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if n := x.active.Load(); n != 0 {
+		t.Errorf("run returned with %d window jobs still inside the executor", n)
 	}
 }

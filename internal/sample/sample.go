@@ -109,6 +109,11 @@ const cancelCheckInterval = 1 << 12
 // bounded worker pool — one call per re-run window, concurrently and in
 // completion order — so a WindowDone hook must be safe for concurrent
 // use.
+//
+// The warm-pass hooks (Progress, WarmShardStarted/Done, CacheHit,
+// CacheWritten) fire only on the run that builds its warm set: a run
+// on a shared Scheduler that receives a set another running run built
+// fires none of them.
 type Hooks struct {
 	// Progress reports the dynamic instruction count reached by the
 	// functional fast-forward, at cancelCheckInterval granularity.
@@ -189,6 +194,8 @@ type Config struct {
 	// machine geometry, and format versions, so a repeat run skips the
 	// warm pass entirely and an invalidating change (different binary,
 	// layout, geometry, or format) is a clean miss, never a stale hit.
+	// The cache serves across processes; within one shared Scheduler a
+	// running run's set is shared in memory first.
 	CacheDir string
 
 	// CacheMaxBytes bounds the total size of CacheDir's .warmset
@@ -204,7 +211,10 @@ type Config struct {
 
 	// Warm injects a pre-built warm set (PrepareWarm), skipping both
 	// the warm pass and the cache probe. The set is read-only during
-	// the run and may be shared by concurrent runs.
+	// the run and may be shared by concurrent runs. Runs on a shared
+	// Scheduler need no injection to share: the scheduler hands them
+	// one set per warm key (see Scheduler); an injected set bypasses
+	// that table.
 	Warm *WarmSet
 
 	// WarmJobs bounds concurrent warm-pass shard workers (default 1).
@@ -236,7 +246,9 @@ type Config struct {
 	// of an ephemeral per-run pool; the run's speculation depth is the
 	// pool's slot count (Windows is ignored). Concurrent runs may share
 	// one Scheduler: a run that settles early stops submitting, and its
-	// slots immediately serve the runs still dispatching. The caller
+	// slots immediately serve the runs still dispatching. Runs sharing
+	// a Scheduler also share warm sets: each distinct warm key is
+	// built once while any run holding it is in flight. The caller
 	// owns the pool and must Close it only after every run sharing it
 	// has returned.
 	Scheduler *Scheduler

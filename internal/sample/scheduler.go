@@ -36,6 +36,15 @@ import (
 // so steady-state window boot allocates only the per-window memory
 // image instead of a full set of predictor and cache clones.
 //
+// The runs sharing a scheduler also share warm sets (warmshare.go):
+// each distinct warm key — the cache key, see Config.CacheDir — is
+// built once by the first run that needs it and handed read-only to
+// every run that asks while a holder is still running. A set is
+// dropped when its last holder's window phase returns, so the sets
+// alive are bounded by the runs in flight, and a long-lived scheduler
+// holds no sets between runs. Only the building run fires the
+// warm-pass hooks; the on-disk cache serves across processes.
+//
 // The zero Scheduler is not usable; construct with NewScheduler and
 // release with Close after every run sharing it has returned.
 type Scheduler struct {
@@ -43,6 +52,7 @@ type Scheduler struct {
 	wg    sync.WaitGroup
 	size  int
 	close sync.Once
+	warm  warmTable // warm sets of the runs in flight (warmshare.go)
 }
 
 // schedTask is one speculatively dispatched detail window in the shared
